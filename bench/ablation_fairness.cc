@@ -89,10 +89,10 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--csv") == 0)
             csv = true;
     }
-    WorkloadId preset = WorkloadId::WS;
-    for (auto wl : kAllWorkloads) {
-        if (workload == workloadAcronym(wl))
-            preset = wl;
+    WorkloadId preset;
+    if (!tryWorkloadFromName(workload, preset)) {
+        std::fprintf(stderr, "unknown workload '%s'\n", workload.c_str());
+        return 1;
     }
     const std::vector<MixPart> mix = {{WorkloadId::WS, 8},
                                       {WorkloadId::TPCHQ6, 8}};

@@ -80,9 +80,15 @@ struct SchedulerParams
 };
 
 const char *schedulerKindName(SchedulerKind k);
+/** Parse a scheduler name; false on unknown names. */
+bool trySchedulerKindFromName(const std::string &name, SchedulerKind &out);
+/** As above, but fatal (user error) on unknown names. */
 SchedulerKind schedulerKindFromName(const std::string &name);
 
 const char *pagePolicyKindName(PagePolicyKind k);
+/** Parse a page-policy name; false on unknown names. */
+bool tryPagePolicyKindFromName(const std::string &name, PagePolicyKind &out);
+/** As above, but fatal (user error) on unknown names. */
 PagePolicyKind pagePolicyKindFromName(const std::string &name);
 
 /**

@@ -1,15 +1,18 @@
 #include "experiment.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
 #include "common/log.hh"
+#include "common/parse.hh"
 #include "common/worker_pool.hh"
 #include "system.hh"
 
@@ -33,17 +36,26 @@ ExperimentRunner::fastDivisor()
     const char *env = std::getenv("CLOUDMC_FAST");
     if (!env)
         return 1;
-    const auto v = std::strtoull(env, nullptr, 10);
-    return v >= 1 ? v : 1;
+    std::uint64_t v = 0;
+    if (parseUint(env, v) && v >= 1)
+        return v;
+    mc_warn("ignoring CLOUDMC_FAST='", env,
+            "' (needs a positive integer); running full length");
+    return 1;
 }
 
 unsigned
 ExperimentRunner::defaultThreads()
 {
     if (const char *env = std::getenv("CLOUDMC_THREADS")) {
-        const auto v = std::strtoul(env, nullptr, 10);
-        if (v >= 1)
+        std::uint64_t v = 0;
+        if (parseUint(env, v) && v >= 1 &&
+            v <= std::numeric_limits<unsigned>::max()) {
             return static_cast<unsigned>(v);
+        }
+        mc_warn("ignoring CLOUDMC_THREADS='", env,
+                "' (needs a positive integer); using the host's "
+                "hardware threads");
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? hw : 1;
@@ -585,59 +597,45 @@ ExperimentRunner::appendToCache(const std::string &key, const MetricSet &m)
     std::fclose(f);
 }
 
-MetricSet
-ExperimentRunner::simulate(WorkloadId workload, const SimConfig &cfg,
-                           std::uint32_t presetCores,
-                           std::uint32_t kernelThreads)
+namespace {
+
+/** @p cfg with its warmup/measure windows divided by fastDivisor()
+ *  (the measure window never below 100k cycles). */
+SimConfig
+fastConfig(const SimConfig &cfg)
 {
+    const std::uint64_t divisor = ExperimentRunner::fastDivisor();
     SimConfig effective = cfg;
-    const std::uint64_t divisor = fastDivisor();
     effective.warmupCoreCycles = cfg.warmupCoreCycles / divisor;
     effective.measureCoreCycles =
         std::max<std::uint64_t>(cfg.measureCoreCycles / divisor, 100'000);
-    if (kernelThreads)
-        effective.kernelThreads = kernelThreads;
+    return effective;
+}
 
+} // namespace
+
+MetricSet
+ExperimentRunner::simulate(WorkloadId workload, const SimConfig &cfg,
+                           std::uint32_t presetCores)
+{
     WorkloadParams params = workloadPreset(workload);
     if (presetCores)
         params.cores = presetCores;
-    System system(effective, params);
+    System system(fastConfig(cfg), params);
     return system.run();
 }
 
 MetricSet
-ExperimentRunner::simulatePoint(const Point &p, std::uint32_t kernelThreads)
+ExperimentRunner::simulatePoint(const Point &p)
 {
     if (!p.makeGenerator)
-        return simulate(p.workload, p.cfg, p.presetCores, kernelThreads);
-
-    SimConfig effective = p.cfg;
-    const std::uint64_t divisor = fastDivisor();
-    effective.warmupCoreCycles = p.cfg.warmupCoreCycles / divisor;
-    effective.measureCoreCycles = std::max<std::uint64_t>(
-        p.cfg.measureCoreCycles / divisor, 100'000);
-    if (kernelThreads)
-        effective.kernelThreads = kernelThreads;
+        return simulate(p.workload, p.cfg, p.presetCores);
 
     const auto generator = p.makeGenerator();
     mc_assert(generator && p.customCores >= 1,
               "custom experiment point needs a generator and cores");
-    System system(effective, *generator, p.customCores);
+    System system(fastConfig(p.cfg), *generator, p.customCores);
     return system.run();
-}
-
-ExperimentRunner::ThreadSplit
-ExperimentRunner::planThreadSplit(std::size_t jobs, unsigned threads)
-{
-    if (threads <= 1 || jobs == 0)
-        return {1, 1};
-    if (jobs >= threads)
-        return {threads, 1};
-    // Fewer points than threads: run every point concurrently and
-    // hand each the same share of the leftover budget. The product
-    // sweepWorkers * shardThreads never exceeds the budget.
-    const unsigned sweep = static_cast<unsigned>(jobs);
-    return {sweep, threads / sweep};
 }
 
 void
@@ -811,11 +809,10 @@ ExperimentRunner::runAll(const std::vector<Point> &points, unsigned threads)
     }
 
     if (!jobs.empty()) {
-        // One budget feeds both parallelism layers: sweep workers
-        // here, epoch shards inside each simulation. The split keeps
-        // their product within `threads` so the batch never runs more
-        // runnable threads than the caller budgeted for.
-        const ThreadSplit split = planThreadSplit(jobs.size(), threads);
+        // Never start more workers than there are points to run.
+        const unsigned workers =
+            jobs.size() < threads ? static_cast<unsigned>(jobs.size())
+                                  : threads;
         std::vector<MetricSet> jobResults(jobs.size());
         std::atomic<std::size_t> next{0};
         auto workerLoop = [&]() {
@@ -825,7 +822,7 @@ ExperimentRunner::runAll(const std::vector<Point> &points, unsigned threads)
                 if (j >= jobs.size())
                     return;
                 const Point &p = *work[jobs[j].workIdx].point;
-                const MetricSet m = simulatePoint(p, split.shardThreads);
+                const MetricSet m = simulatePoint(p);
                 jobResults[j] = m;
 
                 std::lock_guard<std::mutex> lock(mu_);
@@ -838,12 +835,11 @@ ExperimentRunner::runAll(const std::vector<Point> &points, unsigned threads)
             }
         };
 
-        if (split.sweepWorkers <= 1) {
+        if (workers <= 1) {
             workerLoop();
         } else {
-            WorkerPool pool(split.sweepWorkers - 1);
-            pool.run(split.sweepWorkers,
-                     [&](unsigned) { workerLoop(); });
+            WorkerPool pool(workers - 1);
+            pool.run(workers, [&](unsigned) { workerLoop(); });
         }
 
         for (std::size_t i = 0; i < work.size(); ++i) {

@@ -107,33 +107,18 @@ class ExperimentRunner
 
     /**
      * Worker count used by the single-argument runAll():
-     * CLOUDMC_THREADS when set, else std::thread::hardware_concurrency
-     * (at least 1).
+     * CLOUDMC_THREADS when set to a positive integer, else
+     * std::thread::hardware_concurrency (at least 1). Any other
+     * CLOUDMC_THREADS value warns and falls back to that default.
      */
     static unsigned defaultThreads();
 
     /**
-     * How one thread budget is shared between the two parallelism
-     * layers (see README "Thread-budget sharing"). Their product never
-     * exceeds the budget, so a sweep cannot oversubscribe the host by
-     * running @p threads points that each spawn kernel shards.
+     * Divisor applied to every simulation's warmup/measure windows:
+     * CLOUDMC_FAST when set to a positive integer, else 1. Any other
+     * CLOUDMC_FAST value warns and falls back to 1.
      */
-    struct ThreadSplit
-    {
-        unsigned sweepWorkers; ///< Concurrent simulation points.
-        unsigned shardThreads; ///< SimConfig::kernelThreads per point.
-    };
-
-    /**
-     * Split @p threads between the sweep pool and the per-point
-     * epoch-sharded kernel for a batch of @p jobs uncached points.
-     * Sweep-level parallelism wins when it alone can fill the budget
-     * (jobs >= threads: independent points scale embarrassingly);
-     * with fewer jobs than threads, each point gets the leftover
-     * budget as intra-simulation shards — a lone big point on an
-     * otherwise idle host runs threads-wide instead of serially.
-     */
-    static ThreadSplit planThreadSplit(std::size_t jobs, unsigned threads);
+    static std::uint64_t fastDivisor();
 
     /** Stable fingerprint of a (workload, config) point. */
     static std::string configKey(WorkloadId workload, const SimConfig &cfg);
@@ -177,14 +162,9 @@ class ExperimentRunner
      * lines. Caller holds mu_.
      */
     void appendToCache(const std::string &key, const MetricSet &m);
-    static std::uint64_t fastDivisor();
-    /** @p kernelThreads nonzero overrides cfg.kernelThreads (the
-     *  sweep's share of the thread budget, see planThreadSplit). */
     static MetricSet simulate(WorkloadId workload, const SimConfig &cfg,
-                              std::uint32_t presetCores = 0,
-                              std::uint32_t kernelThreads = 0);
-    static MetricSet simulatePoint(const Point &p,
-                                   std::uint32_t kernelThreads = 0);
+                              std::uint32_t presetCores = 0);
+    static MetricSet simulatePoint(const Point &p);
 
     std::string cachePath_;
     bool cachingEnabled_ = true;

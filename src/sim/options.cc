@@ -1,79 +1,11 @@
 #include "options.hh"
 
-#include <cctype>
-#include <cstdlib>
 #include <sstream>
 
+#include "common/parse.hh"
 #include "dram/devices.hh"
 
 namespace mcsim {
-
-namespace {
-
-/** Non-fatal name lookups (the factory variants are fatal-on-error). */
-
-bool
-findWorkload(const std::string &name, WorkloadId &out)
-{
-    for (auto w : kAllWorkloads) {
-        if (name == workloadAcronym(w)) {
-            out = w;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findScheduler(const std::string &name, SchedulerKind &out)
-{
-    for (auto k : kAllSchedulers) {
-        if (name == schedulerKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findPolicy(const std::string &name, PagePolicyKind &out)
-{
-    for (auto k : kAllPagePolicies) {
-        if (name == pagePolicyKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findMapping(const std::string &name, MappingScheme &out)
-{
-    for (auto s : kExtendedMappingSchemes) {
-        if (name == mappingSchemeName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parseUint(const std::string &text, std::uint64_t &out)
-{
-    // Digits only: strtoull would silently wrap "-1" to 2^64-1.
-    if (text.empty() ||
-        !std::isdigit(static_cast<unsigned char>(text[0]))) {
-        return false;
-    }
-    char *end = nullptr;
-    out = std::strtoull(text.c_str(), &end, 10);
-    return end && *end == '\0';
-}
-
-} // namespace
 
 std::string
 ExperimentOptions::parse(int argc, char **argv)
@@ -96,25 +28,25 @@ ExperimentOptions::parse(int argc, char **argv)
                 spec.fairness = true;
         } else if (arg == "--workload") {
             const char *v = need(i);
-            if (!v || !findWorkload(v, workload))
+            if (!v || !tryWorkloadFromName(v, workload))
                 return "unknown workload for --workload";
             if (hasSpec)
                 spec.workloads = {workload};
         } else if (arg == "--scheduler") {
             const char *v = need(i);
-            if (!v || !findScheduler(v, config.scheduler))
+            if (!v || !trySchedulerKindFromName(v, config.scheduler))
                 return "unknown scheduler for --scheduler";
             if (hasSpec)
                 spec.schedulers = {config.scheduler};
         } else if (arg == "--policy") {
             const char *v = need(i);
-            if (!v || !findPolicy(v, config.pagePolicy))
+            if (!v || !tryPagePolicyKindFromName(v, config.pagePolicy))
                 return "unknown page policy for --policy";
             if (hasSpec)
                 spec.policies = {config.pagePolicy};
         } else if (arg == "--mapping") {
             const char *v = need(i);
-            if (!v || !findMapping(v, config.mapping))
+            if (!v || !tryMappingSchemeFromName(v, config.mapping))
                 return "unknown mapping scheme for --mapping";
             if (hasSpec)
                 spec.mappings = {config.mapping};
@@ -195,14 +127,14 @@ ExperimentOptions::parse(int argc, char **argv)
             }
         } else if (arg == "--vaults") {
             const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0 || !isPowerOf2(n))
+            std::uint32_t n = 0;
+            if (!v || !parsePowerOf2Count(v, n))
                 return "--vaults needs a power-of-two count";
             if (config.dram.vaultsPerStack == 0)
                 return "--vaults applies to the stacked backend only "
                        "(put --backend stacked or a stacked --device "
                        "first)";
-            config.setVaults(static_cast<std::uint32_t>(n));
+            config.setVaults(n);
             if (hasSpec)
                 spec.vaultCounts = {config.dram.vaultsPerStack};
         } else if (arg == "--remap") {
@@ -279,10 +211,8 @@ ExperimentOptions::parse(int argc, char **argv)
                     config.tier.fastCapacityPct;
         } else if (arg == "--channels") {
             const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0 || !isPowerOf2(n))
+            if (!v || !parsePowerOf2Count(v, config.dram.channels))
                 return "--channels needs a power-of-two count";
-            config.dram.channels = static_cast<std::uint32_t>(n);
             if (hasSpec)
                 spec.channelCounts = {config.dram.channels};
         } else if (arg == "--warmup") {
@@ -297,12 +227,6 @@ ExperimentOptions::parse(int argc, char **argv)
             if (!v || !parseUint(v, n) || n == 0)
                 return "--measure needs a nonzero cycle count";
             config.measureCoreCycles = n;
-        } else if (arg == "--kernel-threads") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0 || n > 1024)
-                return "--kernel-threads needs a count in [1, 1024]";
-            config.kernelThreads = static_cast<std::uint32_t>(n);
         } else if (arg == "--seed") {
             const char *v = need(i);
             std::uint64_t n = 0;
@@ -324,7 +248,7 @@ ExperimentOptions::parse(int argc, char **argv)
             // A bare acronym selects the workload; anything else stays
             // positional for the tool to interpret.
             WorkloadId w;
-            if (findWorkload(arg, w)) {
+            if (tryWorkloadFromName(arg, w)) {
                 workload = w;
                 if (hasSpec)
                     spec.workloads = {w};
@@ -400,7 +324,7 @@ ExperimentOptions::usage(const std::string &tool)
            "[--tier-capacity-pct PCT]\n"
         << "       [--channels N] [--warmup C] [--measure C] [--seed N] "
            "[--fast D]\n"
-        << "       [--kernel-threads N] [--csv] [--fairness] [--list]\n\n";
+        << "       [--csv] [--fairness] [--list]\n\n";
     out << listText();
     return out.str();
 }

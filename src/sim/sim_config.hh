@@ -71,18 +71,6 @@ struct SimConfig
     std::uint32_t xbarLatencyCycles = 4;
 
     /**
-     * Thread budget for one simulation: 1 runs the serial event
-     * kernel; >1 enables the epoch-sharded parallel kernel, which
-     * splits the core cluster and the per-channel memory controllers
-     * across min(kernelThreads-1, channels)+1 worker threads. Results
-     * are bit-identical at any value (the epoch/barrier contract in
-     * the README), so this knob is deliberately NOT part of the
-     * results-cache key or the params hash. ExperimentRunner::runAll
-     * overrides it per point from the sweep's shared thread budget.
-     */
-    std::uint32_t kernelThreads = 1;
-
-    /**
      * When nonzero, overrides the workload preset's MLP window (the
      * outstanding-load-miss budget per core). The paper's Section 5
      * hypothesizes that more aggressive (out-of-order-like) cores

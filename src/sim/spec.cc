@@ -5,7 +5,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/bitutils.hh"
+#include "common/parse.hh"
 #include "dram/devices.hh"
 
 namespace mcsim {
@@ -42,67 +42,6 @@ splitList(const std::string &value)
         start = comma + 1;
     }
     return out;
-}
-
-bool
-parseUint(const std::string &text, std::uint64_t &out)
-{
-    // Digits only: strtoull would silently wrap "-1" to 2^64-1.
-    if (text.empty() ||
-        !std::isdigit(static_cast<unsigned char>(text[0]))) {
-        return false;
-    }
-    char *end = nullptr;
-    out = std::strtoull(text.c_str(), &end, 10);
-    return end && *end == '\0';
-}
-
-bool
-findWorkload(const std::string &name, WorkloadId &out)
-{
-    for (auto w : kAllWorkloads) {
-        if (name == workloadAcronym(w)) {
-            out = w;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findScheduler(const std::string &name, SchedulerKind &out)
-{
-    for (auto k : kAllSchedulers) {
-        if (name == schedulerKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findPolicy(const std::string &name, PagePolicyKind &out)
-{
-    for (auto k : kAllPagePolicies) {
-        if (name == pagePolicyKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findMapping(const std::string &name, MappingScheme &out)
-{
-    for (auto s : kExtendedMappingSchemes) {
-        if (name == mappingSchemeName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
 }
 
 /** Parse one list-valued axis through a per-item name lookup. */
@@ -248,32 +187,28 @@ parseExperimentSpec(const std::string &text, ExperimentSpec &out)
                 out.devices);
         } else if (key == "scheduler" || key == "schedulers") {
             axisErr = parseAxis<SchedulerKind>(value, "scheduler",
-                                               findScheduler,
+                                               trySchedulerKindFromName,
                                                out.schedulers);
         } else if (key == "policy" || key == "policies") {
             axisErr = parseAxis<PagePolicyKind>(value, "page policy",
-                                                findPolicy, out.policies);
+                                                tryPagePolicyKindFromName,
+                                                out.policies);
         } else if (key == "mapping" || key == "mappings") {
             axisErr = parseAxis<MappingScheme>(value, "mapping scheme",
-                                               findMapping, out.mappings);
+                                               tryMappingSchemeFromName,
+                                               out.mappings);
         } else if (key == "group_mapping" || key == "group_mappings") {
             axisErr = parseAxis<BankGroupMapping>(
                 value, "bank-group mapping",
                 tryBankGroupMappingFromName, out.groupMappings);
         } else if (key == "workload" || key == "workloads") {
             axisErr = parseAxis<WorkloadId>(value, "workload",
-                                            findWorkload, out.workloads);
+                                            tryWorkloadFromName,
+                                            out.workloads);
         } else if (key == "channels") {
-            axisErr = parseAxis<std::uint32_t>(
-                value, "channel count",
-                [](const std::string &n, std::uint32_t &o) {
-                    std::uint64_t v = 0;
-                    if (!parseUint(n, v) || v == 0 || !isPowerOf2(v))
-                        return false;
-                    o = static_cast<std::uint32_t>(v);
-                    return true;
-                },
-                out.channelCounts);
+            axisErr = parseAxis<std::uint32_t>(value, "channel count",
+                                               parsePowerOf2Count,
+                                               out.channelCounts);
         } else if (key == "core_mhz") {
             std::uint64_t v = 0;
             if (!parseUint(value, v) || v == 0 || v > 1'000'000)
@@ -293,13 +228,6 @@ parseExperimentSpec(const std::string &text, ExperimentSpec &out)
                 return err("measure needs a nonzero cycle count, got '" +
                            value + "'");
             out.base.measureCoreCycles = v;
-        } else if (key == "kernel_threads") {
-            std::uint64_t v = 0;
-            if (!parseUint(value, v) || v == 0 || v > 1024)
-                return err("kernel_threads needs an integer in [1, 1024], "
-                           "got '" +
-                           value + "'");
-            out.base.kernelThreads = static_cast<std::uint32_t>(v);
         } else if (key == "seed") {
             std::uint64_t v = 0;
             if (!parseUint(value, v))
@@ -331,16 +259,9 @@ parseExperimentSpec(const std::string &text, ExperimentSpec &out)
                 return err("backend must be 'flat' or 'stacked', got '" +
                            value + "'");
         } else if (key == "vaults") {
-            axisErr = parseAxis<std::uint32_t>(
-                value, "vault count",
-                [](const std::string &n, std::uint32_t &o) {
-                    std::uint64_t v = 0;
-                    if (!parseUint(n, v) || v == 0 || !isPowerOf2(v))
-                        return false;
-                    o = static_cast<std::uint32_t>(v);
-                    return true;
-                },
-                out.vaultCounts);
+            axisErr = parseAxis<std::uint32_t>(value, "vault count",
+                                               parsePowerOf2Count,
+                                               out.vaultCounts);
         } else if (key == "remap") {
             out.hasRemap = true;
             if (value == "on")

@@ -214,6 +214,28 @@ TEST(EventKernel, IncrementalAdvanceMatches)
     expectIdentical(ev.collect(), ref.collect());
 }
 
+TEST(EventKernel, ChunkedAdvanceMatchesSingleRun)
+{
+    // Ragged advance() windows — each edge clamps the cores' batches
+    // and leaves traffic in flight in both crossbar directions — must
+    // equal one uninterrupted System::run() over the same cycles.
+    SimConfig cfg = smallConfig();
+    cfg.dram.channels = 2;
+    cfg.warmupCoreCycles = 7'001 + 1 + 12'345;
+    cfg.measureCoreCycles = 3 + 9'999 + 651;
+    System one(cfg, workloadPreset(WorkloadId::WS));
+    const MetricSet whole = one.run();
+
+    System chunked(cfg, workloadPreset(WorkloadId::WS));
+    for (const std::uint64_t c : {7'001ull, 1ull, 12'345ull})
+        chunked.advance(c);
+    chunked.resetStats();
+    for (const std::uint64_t c : {3ull, 9'999ull, 651ull})
+        chunked.advance(c);
+    ASSERT_EQ(one.now(), chunked.now());
+    expectIdentical(chunked.collect(), whole);
+}
+
 /**
  * Exact command-trace equality: the kernel must issue every DRAM
  * command — including every refresh — at exactly the tick the

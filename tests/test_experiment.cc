@@ -8,10 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "common/worker_pool.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "workload/synthetic.hh"
@@ -828,4 +834,87 @@ TEST(ExperimentCache, KeySeparatesTiers)
     dormant.tier.fastCapacityPct = 25;
     dormant.tier.hotFactor = 8.0;
     EXPECT_EQ(kb, ExperimentRunner::configKey(WorkloadId::DS, dormant));
+}
+
+TEST(WorkerPool, RunsEveryPartyExactlyOnceWithCallerAsZero)
+{
+    WorkerPool pool(3);
+    EXPECT_EQ(pool.workers(), 3u);
+    for (int round = 0; round < 50; ++round) {
+        std::vector<std::atomic<int>> hits(4);
+        for (auto &h : hits)
+            h.store(0);
+        pool.run(4, [&](unsigned shard) {
+            hits[shard].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (unsigned s = 0; s < 4; ++s)
+            EXPECT_EQ(hits[s].load(), 1) << "shard " << s;
+    }
+    // Fewer parties than workers: the extras must stay asleep.
+    std::atomic<int> count{0};
+    pool.run(2, [&](unsigned) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 2);
+    pool.run(1, [&](unsigned) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 3);
+}
+
+namespace {
+
+/** Set an environment variable for one scope, restoring it after. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        setenv(name, value, 1);
+    }
+    ~ScopedEnv()
+    {
+        if (old_)
+            setenv(name_, old_->c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name_;
+    std::optional<std::string> old_;
+};
+
+} // namespace
+
+TEST(ExperimentEnv, MalformedThreadsFallBackToTheHostDefault)
+{
+    // Only the returned budget is inspected; no thread is started.
+    const unsigned hw = std::thread::hardware_concurrency();
+    const unsigned fallback = hw >= 1 ? hw : 1;
+    {
+        ScopedEnv env("CLOUDMC_THREADS", "3");
+        EXPECT_EQ(ExperimentRunner::defaultThreads(), 3u);
+    }
+    // "-1" used to wrap to a 4-billion-thread budget.
+    for (const char *bad : {"-1", "0", "abc", "4x", " 2", "",
+                            "99999999999999999999", "4294967296"}) {
+        ScopedEnv env("CLOUDMC_THREADS", bad);
+        EXPECT_EQ(ExperimentRunner::defaultThreads(), fallback)
+            << "CLOUDMC_THREADS='" << bad << "'";
+    }
+}
+
+TEST(ExperimentEnv, MalformedFastDivisorFallsBackToFullLength)
+{
+    {
+        ScopedEnv env("CLOUDMC_FAST", "50");
+        EXPECT_EQ(ExperimentRunner::fastDivisor(), 50u);
+    }
+    for (const char *bad :
+         {"-1", "0", "fast", "50%", "", "99999999999999999999"}) {
+        ScopedEnv env("CLOUDMC_FAST", bad);
+        EXPECT_EQ(ExperimentRunner::fastDivisor(), 1u)
+            << "CLOUDMC_FAST='" << bad << "'";
+    }
 }

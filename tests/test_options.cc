@@ -107,7 +107,7 @@ TEST(Options, EveryNameTableRoundtrips)
 
 TEST(Options, RejectsBadValues)
 {
-    const std::array<std::vector<std::string>, 7> bad = {{
+    const std::array<std::vector<std::string>, 13> bad = {{
         {"--workload", "NOPE"},
         {"--scheduler", "LRU"},
         {"--policy", "YOLO"},
@@ -115,6 +115,14 @@ TEST(Options, RejectsBadValues)
         {"--channels", "3"},
         {"--measure", "0"},
         {"--flag-that-does-not-exist"},
+        {"--kernel-threads", "2"}, // Removed with the parallel kernel.
+        // 2^32: a power of two that does not fit the 32-bit field.
+        {"--channels", "4294967296"},
+        {"--backend", "stacked", "--vaults", "4294967296"},
+        // Past 2^64-1: must not saturate into a huge count.
+        {"--warmup", "99999999999999999999"},
+        {"--measure", "99999999999999999999"},
+        {"--seed", "99999999999999999999"},
     }};
     for (const auto &args : bad) {
         ExperimentOptions opts;

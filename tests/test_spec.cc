@@ -105,6 +105,11 @@ TEST(Spec, UnknownKeyIsALineNumberedError)
     EXPECT_NE(err.find("line 2"), std::string::npos) << err;
     EXPECT_NE(err.find("unknown key 'frobnicate'"), std::string::npos)
         << err;
+
+    // The removed parallel-kernel knob is no longer a key.
+    const std::string gone = parseExperimentSpec("kernel_threads = 2\n", spec);
+    EXPECT_NE(gone.find("unknown key 'kernel_threads'"), std::string::npos)
+        << gone;
 }
 
 TEST(Spec, BadValuesAreLineNumberedErrors)
@@ -120,6 +125,28 @@ TEST(Spec, BadValuesAreLineNumberedErrors)
 
     err = parseExperimentSpec("channels = 3\n", spec);
     EXPECT_NE(err.find("channel count"), std::string::npos) << err;
+
+    // 2^32 is a power of two but does not fit the 32-bit field (it
+    // used to truncate to 0 channels and abort in the DRAM model).
+    err = parseExperimentSpec("channels = 4294967296\n", spec);
+    EXPECT_NE(err.find("unknown channel count '4294967296'"),
+              std::string::npos)
+        << err;
+
+    err = parseExperimentSpec("backend = stacked\nvaults = 4294967296\n",
+                              spec);
+    EXPECT_NE(err.find("unknown vault count '4294967296'"),
+              std::string::npos)
+        << err;
+
+    // Past 2^64-1: strtoull saturates with ERANGE, which must not pass
+    // as a huge cycle count.
+    err = parseExperimentSpec("warmup = 99999999999999999999\n", spec);
+    EXPECT_NE(err.find("warmup needs a cycle count"), std::string::npos)
+        << err;
+
+    err = parseExperimentSpec("seed = 99999999999999999999\n", spec);
+    EXPECT_NE(err.find("seed needs an integer"), std::string::npos) << err;
 
     err = parseExperimentSpec("measure = zero\n", spec);
     EXPECT_NE(err.find("measure"), std::string::npos) << err;
